@@ -1,7 +1,7 @@
 PYTHON ?= python
 export PYTHONPATH := src$(if $(PYTHONPATH),:$(PYTHONPATH))
 
-.PHONY: test test-fast test-chaos test-fork-determinism test-probes test-shard bench bench-quick bench-par bench-shard lint trace-smoke matrix-smoke probes-smoke obs-report
+.PHONY: test test-fast verify-paper test-chaos test-fork-determinism test-probes test-shard bench bench-quick bench-par bench-shard lint trace-smoke matrix-smoke probes-smoke obs-report
 
 test:
 	$(PYTHON) -m pytest -x -q --durations=10
@@ -10,6 +10,12 @@ test:
 # and anything marked slow.
 test-fast:
 	$(PYTHON) -m pytest -x -q -m "not slow and not chaos"
+
+# The paper-shape assertions: Table I, Figs 2-6, Tables II-IV and the
+# ablations (benchmarks/test_*.py).  Tier-1 does not collect them; CI
+# runs this as its own step.
+verify-paper:
+	$(PYTHON) -m pytest benchmarks/ -x -q
 
 # Just the fault-injection property/determinism suite (CI runs this on
 # a second Python and uploads the ChaosReport artifact).

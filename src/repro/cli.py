@@ -24,7 +24,8 @@ import json
 import sys
 
 from repro import __version__, obs, scenarios
-from repro.matrix.cli import add_matrix_commands, positive_int
+from repro.argtypes import non_negative_int, positive_int
+from repro.matrix.cli import add_matrix_commands
 from repro.obs.cli import add_obs_commands
 from repro.probes.cli import add_probes_commands
 
@@ -313,8 +314,8 @@ def build_parser():
     fleet_sub = fleet.add_subparsers(dest="fleet_command", required=True)
 
     def _fleet_common(sub_parser, hosts, tenants):
-        sub_parser.add_argument("--hosts", type=int, default=hosts)
-        sub_parser.add_argument("--tenants", type=int, default=tenants)
+        sub_parser.add_argument("--hosts", type=positive_int, default=hosts)
+        sub_parser.add_argument("--tenants", type=positive_int, default=tenants)
         sub_parser.add_argument("--seed", type=int, default=1701)
 
     def _shards_arg(sub_parser):
@@ -330,10 +331,10 @@ def build_parser():
 
     fleet_run = fleet_sub.add_parser("run")
     _fleet_common(fleet_run, hosts=8, tenants=64)
-    fleet_run.add_argument("--churn", type=int, default=24)
-    fleet_run.add_argument("--migrations", type=int, default=2)
-    fleet_run.add_argument("--campaigns", type=int, default=1)
-    fleet_run.add_argument("--sweeps", type=int, default=1)
+    fleet_run.add_argument("--churn", type=non_negative_int, default=24)
+    fleet_run.add_argument("--migrations", type=non_negative_int, default=2)
+    fleet_run.add_argument("--campaigns", type=non_negative_int, default=1)
+    fleet_run.add_argument("--sweeps", type=non_negative_int, default=1)
     _shards_arg(fleet_run)
     fleet_run.set_defaults(func=cmd_fleet_run)
     fleet_sweep = fleet_sub.add_parser("sweep")

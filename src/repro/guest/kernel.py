@@ -83,14 +83,14 @@ class Kernel:
         #: patched (e.g. the §VI-D page-sync evasion) — the tell-tale an
         #: integrity monitor would catch.
         self.hypervisor_code_modified = False
-        # Hot-path caches.  The syscall cache maps (name, depth) to the
-        # precomputed deterministic cost plus the exit-recording plan;
-        # it is keyed to the cost model object so a migration onto a
-        # host with a different model rebuilds it.  The jitter cache
-        # holds the per-label RNG stream so the per-syscall path skips
-        # the registry's name hashing (same streams, same draw order).
-        self._syscall_cache = {}
-        self._syscall_cache_cm = None
+        # The syscall table maps a syscall name to its resolved entry
+        # (see _syscall_entry).  It is valid for the configuration in
+        # _syscall_key and emptied when any part of that
+        # changes (see _syscall_table_now).  The jitter streams cache
+        # the per-label RNG stream so the per-call path skips the
+        # registry's name hashing (same streams, same draw order).
+        self._syscall_table = {}
+        self._syscall_key = None
         self._jitter_streams = {}
 
     # ------------------------------------------------------------------
@@ -115,10 +115,7 @@ class Kernel:
     def _jitter(self, cost, label):
         if self.jitter_rsd <= 0:
             return cost
-        rng = self._jitter_streams.get(label)
-        if rng is None:
-            rng = self.system.rng.stream(f"{self.system.name}:{label}")
-            self._jitter_streams[label] = rng
+        rng = self._jitter_stream(label)
         # Same math as RngRegistry.gauss_jitter, minus the per-call
         # stream lookup: one N(cost, rsd*cost) sample floored at 10%.
         sample = rng.gauss(cost, abs(self.jitter_rsd * cost))
@@ -129,26 +126,6 @@ class Kernel:
         handle = self.system.vm_handle
         if handle is not None:
             handle.record_exit(reason, count)
-
-    def _record_trampoline(self, reason, count):
-        """Attribute the Turtles trampoline where it really executes.
-
-        When a depth>=2 guest exits, the privileged instructions that
-        handle the reflection run in the *L1 parent* — so the parent's
-        VM accumulates PRIV_INSTRUCTION exits in the host's counters.
-        That attribution is kernel ground truth an attacker cannot
-        scrub, and the exit-census detector feeds on it.
-        """
-        if self.depth < 2 or self.system.parent is None:
-            return
-        parent_handle = self.system.parent.vm_handle
-        if parent_handle is None:
-            return
-        ops = self._cost_model.nested_priv_ops.get(reason, 0)
-        if ops:
-            parent_handle.record_exit(
-                ExitReason.PRIV_INSTRUCTION, count * ops
-            )
 
     def charge_cpu(self, seconds, mem_intensity=0.5, jitter=True):
         """Cost of ``seconds`` of userspace CPU work at this depth.
@@ -166,75 +143,159 @@ class Kernel:
         )
         return self._throttled(cost)
 
-    def _build_syscall_entry(self, name, depth):
-        """Precompute the deterministic part of one syscall's cost.
+    def _jitter_stream(self, label):
+        rng = self._jitter_streams.get(label)
+        if rng is None:
+            rng = self.system.rng.stream(f"{self.system.name}:{label}")
+            self._jitter_streams[label] = rng
+        return rng
 
-        Returns ``(base_cost, records, label)`` where ``records`` is the
-        exit-recording plan: ``(reason, count, trampoline_count)`` per
-        exit class, with ``trampoline_count`` the pre-multiplied number
-        of PRIV_INSTRUCTION exits the L1 parent absorbs (0 below depth
-        2).  The additions happen in the same order as the original
-        per-call computation, so the cached scalar is bit-identical.
+    def _syscall_table_now(self):
+        """The syscall table for the current configuration.
+
+        An entry bakes in the cost model, the depth, the VM handle and
+        the L1 parent's handle (exit-add targets), ``jitter_rsd`` (sigma
+        and floor) and whether the handles' tracer is on (direct dict
+        adds or ``record_exit`` calls).  A change to any of them — a
+        migration re-parents the guest onto another VM, depth and
+        machine — drops every entry.
+        """
+        system = self.system
+        handle = system.vm_handle
+        parent = system.parent
+        parent_handle = parent.vm_handle if parent is not None else None
+        traced = (handle is not None and handle.traced) or (
+            parent_handle is not None and parent_handle.traced
+        )
+        key = (
+            system.machine.cost_model,
+            system.depth,
+            handle,
+            parent_handle,
+            self.jitter_rsd,
+            traced,
+        )
+        if key != self._syscall_key:
+            self._syscall_key = key
+            self._syscall_table = {}
+        return self._syscall_table
+
+    def _syscall_entry(self, name):
+        """Resolve one syscall: ``(mu, sigma, floor, gauss, adds)``.
+
+        ``mu`` is the deterministic cost, accumulated in a fixed order
+        so it is the same float on every build; ``sigma`` and ``floor``
+        are the jitter parameters for ``mu`` (one N(mu, rsd*mu) sample
+        floored at 10%) and ``gauss`` the label stream's bound sampler,
+        None when jitter is off.  ``adds`` is the exit accounting, one
+        ``(target, reason, n)`` per counter bump in the order the exits
+        happen: ``target`` is the VM's ``exit_sink()`` dict, or its
+        ``record_exit`` while a tracer is on.
+
+        The adds include the Turtles trampoline, attributed where it
+        really executes.  When a depth>=2 guest exits, the privileged
+        instructions that handle the reflection run in the *L1 parent*,
+        so each exit of a reason with ``nested_priv_ops`` is followed by
+        ``n * ops`` PRIV_INSTRUCTION exits on the parent's VM.  That
+        attribution is kernel ground truth an attacker cannot scrub,
+        and the exit-census detector feeds on it.
         """
         profile = SYSCALL_PROFILES.get(name)
         if profile is None:
             raise GuestError(f"unknown syscall profile: {name!r}")
-        cm = self._cost_model
-        cost = cm.cpu_cost(profile.cpu_seconds, depth, profile.mem_intensity)
-        cost += profile.per_depth_cpu * depth
-        cost += cm.syscall_depth_tax * depth
-        records = []
+        cm, depth, handle, parent_handle, rsd, traced = self._syscall_key
+        mu = cm.cpu_cost(profile.cpu_seconds, depth, profile.mem_intensity)
+        mu += profile.per_depth_cpu * depth
+        mu += cm.syscall_depth_tax * depth
+        exits = []
         if depth >= 1:
-            nested = depth >= 2
             for reason, n in profile.exits.items():
-                cost += n * cm.exit_cost(reason, depth)
-                ops = cm.nested_priv_ops.get(reason, 0) if nested else 0
-                records.append((reason, n, n * ops))
-            if nested:
+                mu += n * cm.exit_cost(reason, depth)
+                exits.append((reason, n))
+            if depth >= 2:
                 for reason, n in profile.nested_exits.items():
-                    cost += n * cm.exit_cost(reason, depth)
-                    ops = cm.nested_priv_ops.get(reason, 0)
-                    records.append((reason, n, n * ops))
-        return cost, tuple(records), f"sys:{name}"
+                    mu += n * cm.exit_cost(reason, depth)
+                    exits.append((reason, n))
+        if depth < 2:
+            parent_handle = None
+
+        def target(vm):
+            return vm.record_exit if traced else vm.exit_sink()
+
+        adds = []
+        for reason, n in exits:
+            if handle is not None:
+                adds.append((target(handle), reason, n))
+            if parent_handle is not None:
+                trampoline = n * cm.nested_priv_ops.get(reason, 0)
+                if trampoline:
+                    adds.append(
+                        (target(parent_handle), ExitReason.PRIV_INSTRUCTION, trampoline)
+                    )
+        if rsd > 0:
+            gauss = self._jitter_stream(f"sys:{name}").gauss
+            sigma = abs(rsd * mu)
+            floor = 0.1 * abs(mu)
+        else:
+            gauss = sigma = floor = None
+        return mu, sigma, floor, gauss, tuple(adds)
 
     def syscall_cost(self, name, jitter=True):
         """Cost of one syscall described by its profile."""
-        cm = self.system.cost_model
-        if cm is not self._syscall_cache_cm:
-            self._syscall_cache_cm = cm
-            self._syscall_cache = {}
-        depth = self.depth
-        entry = self._syscall_cache.get((name, depth))
-        if entry is None:
-            entry = self._build_syscall_entry(name, depth)
-            self._syscall_cache[(name, depth)] = entry
-        cost, records, label = entry
-        if records:
-            system = self.system
-            handle = system.vm_handle
-            parent_handle = None
-            if depth >= 2 and system.parent is not None:
-                parent_handle = system.parent.vm_handle
-            for reason, n, trampoline in records:
-                if handle is not None:
-                    handle.record_exit(reason, n)
-                if trampoline and parent_handle is not None:
-                    # The Turtles reflection runs in the L1 parent — see
-                    # _record_trampoline for the attribution rationale.
-                    parent_handle.record_exit(
-                        ExitReason.PRIV_INSTRUCTION, trampoline
-                    )
-        if self.syscall_taps:
-            for tap in self.syscall_taps:
-                if tap.syscall_name == name:
-                    tap.hits += 1
-                    cost += cm.exit_cost(tap.extra_exit, max(depth, 1))
-                    if tap.callback is not None:
-                        tap.callback(self.system, name)
-        cost += self.extra_op_latency
-        if jitter:
-            cost = self._jitter(cost, label)
-        return self._throttled(cost)
+        return self.syscall_costs((name,), jitter)[0]
+
+    def syscall_costs(self, names, jitter=True):
+        """Costs of the syscalls ``names``, in order.
+
+        Exactly what calling :meth:`syscall_cost` on each name in turn
+        returns — the same exit counts, tap hits and RNG draws — with
+        the table validated once for the whole batch.
+        """
+        table = self._syscall_table_now()
+        traced = self._syscall_key[5]
+        taps = self.syscall_taps
+        extra = self.extra_op_latency
+        throttle = self.cpu_throttle
+        costs = []
+        for name in names:
+            entry = table.get(name)
+            if entry is None:
+                entry = table[name] = self._syscall_entry(name)
+            mu, sigma, floor, gauss, adds = entry
+            if traced:
+                for record, reason, n in adds:
+                    record(reason, n)
+            else:
+                for counts, reason, n in adds:
+                    counts[reason] = counts.get(reason, 0.0) + n
+            cost = mu
+            if taps:
+                cost = self._apply_taps(name, cost)
+            if extra:
+                cost += extra
+            if jitter and gauss is not None:
+                if cost != mu:
+                    sigma = abs(self.jitter_rsd * cost)
+                    floor = 0.1 * abs(cost)
+                sample = gauss(cost, sigma)
+                cost = sample if sample >= floor else floor
+            if throttle:
+                if not 0.0 <= throttle < 1.0:
+                    raise GuestError(f"bad cpu_throttle {throttle}")
+                cost = cost / (1.0 - throttle)
+            costs.append(cost)
+        return costs
+
+    def _apply_taps(self, name, cost):
+        """Charge and notify the taps on ``name``: one extra exit each."""
+        cm, depth = self._syscall_key[:2]
+        for tap in self.syscall_taps:
+            if tap.syscall_name == name:
+                tap.hits += 1
+                cost += cm.exit_cost(tap.extra_exit, max(depth, 1))
+                if tap.callback is not None:
+                    tap.callback(self.system, name)
+        return cost
 
     def charge_syscalls(self, name, times=1):
         """Cost of ``times`` identical syscalls (jitter applied once)."""

@@ -55,6 +55,20 @@ class KvmVm:
             tracer.vm_exit(self.name, reason, count, self.depth)
 
     @property
+    def traced(self):
+        """Whether :meth:`record_exit` currently emits trace events."""
+        return self._tracer.enabled
+
+    def exit_sink(self):
+        """The dict :meth:`record_exit` bumps (vCPU 0's ``exit_counts``).
+
+        ``sink[reason] = sink.get(reason, 0.0) + n`` is exactly
+        ``record_exit(reason, n)`` while :attr:`traced` is off; batching
+        callers add to it directly and call ``record_exit`` otherwise.
+        """
+        return self.vmcs[0].exit_counts
+
+    @property
     def total_exits(self):
         return sum(v.total_exits for v in self.vmcs)
 

@@ -5,19 +5,9 @@ imports stay inside the handlers so ``repro matrix list`` (and every
 non-matrix command) never pays for the fleet stack.
 """
 
-import argparse
 import sys
 
-
-def positive_int(text):
-    """argparse type: an int >= 1, with a clear error (no pool traceback)."""
-    try:
-        value = int(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"expected an integer, got {text!r}")
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"must be >= 1, got {value}")
-    return value
+from repro.argtypes import positive_int
 
 
 def _load_spec(args):

@@ -94,7 +94,7 @@ def cmd_probes_score(args):
 
 def add_probes_commands(subparsers):
     """Register the ``probes`` command group on the main parser."""
-    from repro.matrix.cli import positive_int
+    from repro.argtypes import positive_int
 
     probes = subparsers.add_parser(
         "probes", help="detection-probe catalog and score matrix"

@@ -23,6 +23,7 @@ from repro.obs.trace import Tracer
 from repro.sim.perf import PerfCounters
 
 _PENDING = object()
+_INF = float("inf")
 
 
 class Interrupt(Exception):
@@ -435,6 +436,12 @@ class Engine:
         #: Physical memories whose page stores participate in
         #: snapshot/fork record sharing (see :meth:`register_memory`).
         self._memories = []
+        #: Timeout elision (see :meth:`elide_timeout`).  ``_run_until``
+        #: is the innermost :meth:`run`'s deadline while its loop is
+        #: between dispatches, None otherwise; ``_elide_horizon`` is
+        #: that deadline while a lone waiter is being dispatched.
+        self._run_until = None
+        self._elide_horizon = None
 
     @property
     def now(self):
@@ -511,6 +518,50 @@ class Engine:
         """Composite event firing when any of ``events`` fires."""
         return AnyOf(self, events)
 
+    def elide_timeout(self, delay):
+        """Consume a ``delay`` timeout in place if it would fire next.
+
+        The calling process must be about to yield ``timeout(delay)``
+        and do nothing else until it fires.  When that timeout would be
+        the next event dispatched anyway, this advances the clock to its
+        fire time and returns True: the caller carries on inline instead
+        of suspending.  Otherwise it returns False and the caller yields
+        the timeout as usual.  Elision applies only when
+
+        * the event being dispatched has exactly one callback (the
+          caller's resume), so nothing else runs at the old time;
+        * that dispatch is a step of :meth:`run`, and the fire time is
+          within its ``until`` deadline — a bare :meth:`step` (or one
+          nested inside a callback) never elides;
+        * the fire time is strictly before every queued event;
+        * no tracer and no shard governor are active.
+
+        An elided timeout still takes its sequence number and counts
+        one heap push, one dispatch and one process resumption, so
+        :attr:`perf`, the sequence and the event order are exactly what
+        the queued path produces.
+        """
+        if delay < 0:
+            raise SimulationError(f"negative timeout delay: {delay}")
+        horizon = self._elide_horizon
+        if horizon is None:
+            return False
+        when = self._now + delay
+        if when > horizon:
+            return False
+        queue = self._queue
+        if queue and queue[0][0] <= when:
+            return False
+        if self.tracer.enabled or self.governor is not None:
+            return False
+        next(self._sequence)
+        perf = self.perf
+        perf.heap_pushes += 1
+        perf.events_dispatched += 1
+        perf.processes_resumed += 1
+        self._now = when
+        return True
+
     def _enqueue(self, event, delay=0.0):
         self.perf.heap_pushes += 1
         when = self._now + delay
@@ -536,8 +587,18 @@ class Engine:
         callbacks = event.callbacks
         event.callbacks = None
         if callbacks:
-            for callback in callbacks:
-                callback(event)
+            # Elision (see elide_timeout) needs a run() step with a lone
+            # waiter; a step nested inside a callback sees no deadline.
+            run_until = self._run_until
+            self._run_until = None
+            if run_until is not None and len(callbacks) == 1:
+                self._elide_horizon = run_until
+                callbacks[0](event)
+            else:
+                self._elide_horizon = None
+                for callback in callbacks:
+                    callback(event)
+            self._run_until = run_until
         else:
             perf.timer_fast_path += 1
             if event._ok is False and not isinstance(event, Process):
@@ -553,8 +614,17 @@ class Engine:
         virtual time to stop at), or an :class:`Event` (run until it
         triggers, returning its value or raising its failure).
         """
+        outer = self._run_until
+        try:
+            return self._run(until)
+        finally:
+            self._run_until = outer
+            self._elide_horizon = None
+
+    def _run(self, until):
+        step = self.step
         if until is None:
-            step = self.step
+            self._run_until = _INF
             while step():
                 pass
             return None
@@ -565,7 +635,7 @@ class Engine:
                 raise until._value
             finished = []
             until._add_callback(finished.append)
-            step = self.step
+            self._run_until = _INF
             while not finished:
                 if not step():
                     raise SimulationError(
@@ -578,7 +648,7 @@ class Engine:
         if deadline < self._now:
             raise SimulationError(f"cannot run backwards to {deadline}")
         queue = self._queue
-        step = self.step
+        self._run_until = deadline
         while queue and queue[0][0] <= deadline:
             step()
         self._now = deadline

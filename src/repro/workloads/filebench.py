@@ -16,6 +16,17 @@ PAGES_PER_FILE = 16
 FRESH_DIRTY_PAGES_PER_OP = 1
 #: Fraction of operations that force a journal commit.
 FSYNC_RATE = 0.06
+#: The syscalls of one iteration, in the order the iteration charges
+#: them (``fsync_journal`` follows separately on a journal commit).
+ITERATION_SYSCALLS = (
+    "creat_meta",
+    "page_cache_write",
+    "block_io_submit",
+    "page_cache_read",
+    "block_io_submit",
+    "stat",
+    "unlink_meta",
+)
 
 
 class FilebenchWorkload(Workload):
@@ -58,19 +69,22 @@ class FilebenchWorkload(Workload):
                 and system.engine.now >= self._r_deadline
             ):
                 break
-            cost = kernel.syscall_cost("creat_meta")
-            cost += kernel.charge_syscalls("page_cache_write", PAGES_PER_FILE)
-            cost += kernel.syscall_cost("block_io_submit")
+            creat, write, submit_w, read, submit_r, stat, unlink = (
+                kernel.syscall_costs(ITERATION_SYSCALLS)
+            )
+            cost = creat
+            cost += write * PAGES_PER_FILE
+            cost += submit_w
             if device is not None:
                 cost += device.write(PAGES_PER_FILE)
             system.memory.dirty_bulk(FRESH_DIRTY_PAGES_PER_OP)
             # Read a previously written file.
-            cost += kernel.charge_syscalls("page_cache_read", PAGES_PER_FILE)
-            cost += kernel.syscall_cost("block_io_submit")
+            cost += read * PAGES_PER_FILE
+            cost += submit_r
             if device is not None:
                 cost += device.read(PAGES_PER_FILE)
-            cost += kernel.syscall_cost("stat")
-            cost += kernel.syscall_cost("unlink_meta")
+            cost += stat
+            cost += unlink
             if rng.random() < FSYNC_RATE:
                 cost += kernel.syscall_cost("fsync_journal")
                 if device is not None:

@@ -75,3 +75,29 @@ def test_fleet_sweep_command(capsys):
 def test_fleet_requires_subcommand():
     with pytest.raises(SystemExit):
         build_parser().parse_args(["fleet"])
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["fleet", "run", "--hosts", "2", "--tenants", "-3"], "argument --tenants: must be >= 1, got -3"),
+        (["fleet", "run", "--hosts", "0"], "argument --hosts: must be >= 1, got 0"),
+        (["fleet", "run", "--churn", "-1"], "argument --churn: must be >= 0, got -1"),
+        (["fleet", "run", "--migrations", "-2"], "argument --migrations: must be >= 0, got -2"),
+        (["fleet", "run", "--campaigns", "-1"], "argument --campaigns: must be >= 0, got -1"),
+        (["fleet", "run", "--sweeps", "-4"], "argument --sweeps: must be >= 0, got -4"),
+        (["fleet", "run", "--churn", "many"], "argument --churn: expected an integer, got 'many'"),
+        (["fleet", "sweep", "--tenants", "0"], "argument --tenants: must be >= 1, got 0"),
+        (["fleet", "sweep", "--hosts", "-1"], "argument --hosts: must be >= 1, got -1"),
+        (["fleet", "status", "--hosts", "x"], "argument --hosts: expected an integer, got 'x'"),
+        (["fleet", "status", "--tenants", "-5"], "argument --tenants: must be >= 1, got -5"),
+    ],
+)
+def test_fleet_bad_counts_are_one_line_errors(argv, message, capsys):
+    with pytest.raises(SystemExit) as excinfo:
+        main(argv)
+    assert excinfo.value.code == 2
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    command = " ".join(argv[:2])
+    assert err.splitlines()[-1] == f"repro {command}: error: {message}"

@@ -161,7 +161,7 @@ def test_more_shards_than_hosts_raises():
 def test_cli_rejects_non_positive_shards():
     import argparse
 
-    from repro.matrix.cli import positive_int
+    from repro.argtypes import positive_int
 
     for bad in ("0", "-2", "nope"):
         with pytest.raises(argparse.ArgumentTypeError):

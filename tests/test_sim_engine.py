@@ -1,9 +1,12 @@
 """The discrete-event engine: events, processes, composition, time."""
 
+from types import SimpleNamespace
+
 import pytest
 
 from repro.errors import SimulationError
 from repro.sim.engine import Engine, Event, Interrupt, Timeout
+from repro.workloads.base import Workload
 
 
 def test_clock_starts_at_zero(engine):
@@ -338,3 +341,156 @@ def test_bare_timeout_uses_timer_fast_path(engine):
     assert engine.perf.timer_fast_path == 1
     assert engine.perf.events_dispatched == 1
     assert engine.now == 1.0
+
+
+# -- in-place timeout elision (Engine.elide_timeout via Workload._pace) ------
+
+
+class _Paced(Workload):
+    """Paces through ``costs``, recording the clock after each op."""
+
+    def __init__(self, costs):
+        super().__init__()
+        self.costs = costs
+        self.seen = []
+
+    def run(self, system):
+        for cost in self.costs:
+            yield from self._pace(system, cost)
+            self.seen.append(system.engine.now)
+        return len(self.seen)
+
+
+class _GateOnly:
+    """A shard governor stand-in that never brakes."""
+
+    def gate(self, _head):
+        pass
+
+
+def _paced_engine():
+    engine = Engine()
+    created = []
+    make = engine.timeout
+
+    def counting_timeout(delay, value=None):
+        created.append(delay)
+        return make(delay, value)
+
+    engine.timeout = counting_timeout
+    return engine, created, SimpleNamespace(qemu_vm=None, engine=engine)
+
+
+def test_elision_fires_for_a_lone_paced_process():
+    engine, created, system = _paced_engine()
+    workload = _Paced([0.25] * 8)
+    engine.process(workload.run(system))
+    engine.run()
+    assert workload.seen == [0.25 * k for k in range(1, 9)]
+    assert created == []
+    assert engine.perf.events_dispatched == 1 + 8 + 1  # init, paces, exit
+
+
+def test_run_until_never_passes_its_deadline():
+    engine, created, system = _paced_engine()
+    workload = _Paced([0.3] * 10)
+    engine.process(workload.run(system))
+    engine.run(until=1.0)
+    assert engine.now == 1.0
+    assert workload.seen == [0.3, 0.6, 0.8999999999999999]
+    assert created == [0.3]  # the pace that would end past 1.0 is queued
+    engine.run(until=2.0)
+    assert max(workload.seen) <= 2.0 and engine.now == 2.0
+
+
+def test_queued_event_at_the_same_time_goes_first():
+    engine, created, system = _paced_engine()
+    order = []
+
+    def paced():
+        yield from _Paced([0.5])._pace(system, 0.5)
+        order.append("process")
+
+    engine.call_at(0.5, order.append, "timer")
+    engine.process(paced())
+    engine.run()
+    assert order == ["timer", "process"]
+    assert created == [0.5]
+
+
+def test_bare_step_never_elides():
+    engine, created, system = _paced_engine()
+    workload = _Paced([0.5] * 4)
+    engine.process(workload.run(system))
+    while engine.step():
+        pass
+    assert len(created) == 4
+    assert workload.seen == [0.5, 1.0, 1.5, 2.0]
+
+
+def test_multi_callback_wake_disables_elision():
+    engine, created, system = _paced_engine()
+    gate = engine.event()
+    workload = _Paced([0.5, 0.5])
+
+    def waiter():
+        yield gate
+        yield from workload.run(system)
+
+    engine.process(waiter())
+    gate._add_callback(lambda _event: None)  # a second callback on the wake
+    engine.call_at(1.0, gate.succeed)
+    engine.run()
+    # The pace right after the two-callback wake is queued; the next one
+    # is resumed by its lone timeout and elides.
+    assert created == [0.5]
+    assert workload.seen == [1.5, 2.0]
+
+
+@pytest.mark.parametrize("observer", ["tracer", "governor"])
+def test_tracer_or_governor_disables_elision(observer):
+    engine, created, system = _paced_engine()
+    if observer == "tracer":
+        engine.tracer.enabled = True
+    else:
+        engine.governor = _GateOnly()
+    workload = _Paced([0.25] * 5)
+    engine.process(workload.run(system))
+    engine.run()
+    assert len(created) == 5
+
+
+def _mixed_run(elide):
+    """Two paced processes, timer callbacks and chunked runs."""
+    engine, created, system = _paced_engine()
+    if not elide:
+        engine.elide_timeout = lambda delay: False
+    log = []
+    fast = _Paced([0.01 * (1 + k % 7) for k in range(120)])
+    slow = _Paced([0.4] * 12)
+    engine.process(fast.run(system))
+    slow_proc = engine.process(slow.run(system))
+    for k in range(9):
+        engine.call_at(0.37 * k + 0.05, log.append, k)
+    engine.run(until=1.3)
+    engine.run(until=2.75)
+    result = engine.run(slow_proc)
+    engine.run()
+    return {
+        "perf": engine.perf.as_dict(),
+        "sequence": next(engine._sequence),
+        "now": engine.now,
+        "fast": fast.seen,
+        "slow": slow.seen,
+        "log": log,
+        "result": result,
+        "queued_timeouts": len(created),
+    }
+
+
+def test_elision_preserves_counters_sequence_and_results():
+    elided = _mixed_run(elide=True)
+    queued = _mixed_run(elide=False)
+    assert elided["queued_timeouts"] < queued["queued_timeouts"] == 132
+    del elided["queued_timeouts"], queued["queued_timeouts"]
+    assert elided == queued
